@@ -38,4 +38,5 @@ func TestFleetSummaryDeterministicAcrossCores(t *testing.T) {
 	if s1 != s4 {
 		t.Fatalf("fleet summary differs across cores:\n-- cores=1 --\n%s\n-- cores=4 --\n%s", s1, s4)
 	}
+	checkGolden(t, "fleet_summary_24", s1+"\n")
 }
