@@ -22,10 +22,14 @@ lint:
 
 # race-stress is the dynamic counterpart of the shardsafe/atomicscope
 # static proof: the cluster barrier tests under the race detector at a
-# starved and an oversubscribed GOMAXPROCS, repeated to vary schedules.
+# starved and an oversubscribed GOMAXPROCS, repeated to vary schedules,
+# plus the fleet upcall regression (echoes and block I/O in flight
+# together across lane shards) at the same two levels.
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -count=3 ./internal/sim
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestFleetEchoAndBlockIOTogether ./internal/core
+	GOMAXPROCS=8 $(GO) test -race -count=3 -run TestFleetEchoAndBlockIOTogether ./internal/core
 
 build:
 	$(GO) build ./...
