@@ -11,6 +11,7 @@ import (
 
 	"kite/internal/framepool"
 	"kite/internal/netpkt"
+	"kite/internal/shardtab"
 	"kite/internal/sim"
 )
 
@@ -51,7 +52,7 @@ type Bridge struct {
 	// O(tenants²) flood storm.
 	trunk []Port
 	iso   map[Port]bool
-	fdb   fdb
+	fdb   shardtab.Table[macKey, Port]
 	stats Stats
 
 	// outq holds forwarded frames until their CPU charge completes; one
@@ -77,7 +78,7 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, name string) *Bridge {
 		eng: eng, cpus: cpus, name: name,
 		PerFrameCost: 300 * sim.Nanosecond,
 	}
-	b.fdb.init()
+	b.fdb.Init(fdbSeed)
 	b.deliver = sim.NewBatch(eng, b.flushDeliveries)
 	return b
 }
@@ -139,20 +140,20 @@ func (b *Bridge) RemovePort(p Port) {
 	}
 	delete(b.iso, p)
 	b.rebuildTrunk()
-	b.fdb.removePort(p)
+	b.fdb.RemoveWhere(func(e *shardtab.Entry[macKey, Port]) bool { return e.Val == p })
 }
 
 // Lookup returns the port a MAC was learned on, or nil.
-func (b *Bridge) Lookup(mac netpkt.MAC) Port { return b.fdb.lookup(mac) }
+func (b *Bridge) Lookup(mac netpkt.MAC) Port { return b.lookup(mac) }
 
 // FDBLen returns the number of learned MAC entries.
-func (b *Bridge) FDBLen() int { return b.fdb.len() }
+func (b *Bridge) FDBLen() int { return b.fdb.Len() }
 
 // AgeFDB evicts entries idle longer than maxIdle and returns the count —
 // the periodic sweep the network application runs so departed guests do
 // not pin table space (brconfig's address timeout).
 func (b *Bridge) AgeFDB(maxIdle sim.Time) int {
-	n := b.fdb.age(b.eng.Now(), maxIdle)
+	n := b.fdb.Age(b.eng.Now(), maxIdle, nil)
 	b.stats.Aged += uint64(n)
 	return n
 }
@@ -239,7 +240,7 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 	copy(src[:], pkt[6:12])
 
 	if src != netpkt.Broadcast {
-		if b.fdb.learn(src, from, b.eng.Now()) {
+		if b.learn(src, from) {
 			b.stats.Learned++
 		}
 	}
@@ -251,7 +252,7 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 		done = b.cpus.ChargeAt(at, b.PerFrameCost)
 	}
 	if dst != netpkt.Broadcast {
-		if out := b.fdb.lookup(dst); out != nil {
+		if out := b.lookup(dst); out != nil {
 			if out == from {
 				b.stats.Dropped++ // destination is behind the source port
 				frame.ReleaseOn(b.eng)

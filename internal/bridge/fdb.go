@@ -1,62 +1,21 @@
 package bridge
 
-import (
-	"kite/internal/netpkt"
-	"kite/internal/sim"
-	"kite/internal/timewheel"
-)
+import "kite/internal/netpkt"
 
-// The forwarding database is sharded so a driver domain serving hundreds
-// of guests keeps O(1) learned-MAC lookup on the data path at any table
-// size. A single Go map would do the same asymptotically, but its buckets
-// allocate on growth mid-traffic, its iteration order is nondeterministic
-// (poisonous for the byte-identical summaries), and a fleet's worth of
-// entries all contend on one structure. Instead the FDB is a power-of-two
-// array of shards — selected by the top bits of a Toeplitz hash over the
-// MAC (the same hash family RSS steering uses, netpkt.RSS) — each shard an
-// open-addressing linear-probe table of value-typed entries with
-// backward-shift deletion. Lookups and learns in steady state touch one
-// cache line per probe and never allocate; growth doubles a shard and
-// rehashes (amortized, control-plane-adjacent), and aging/eviction scans
-// slots in index order so every walk is deterministic.
+// The forwarding database is a shardtab.Table from learned MAC to port:
+// O(1), allocation-free lookup and learn on the data path at any fleet
+// size, deterministic aging on the table's timer wheel, and port flushes
+// in deterministic slot order.
 
-const (
-	fdbShardBits = 3
-	fdbShardCnt  = 1 << fdbShardBits
-	// fdbMinSlots is each shard's initial capacity; power of two.
-	fdbMinSlots = 64
-)
+// macKey is a learned MAC as a table key.
+type macKey netpkt.MAC
 
-// fdbEntry is one learned MAC. Entries live by value inside the shard's
-// slot array; hash caches the full Toeplitz hash so growth and
-// backward-shift deletion never re-derive it.
-type fdbEntry struct {
-	mac      netpkt.MAC
-	used     bool
-	port     Port
-	hash     uint32
-	lastSeen sim.Time
-	// node is the entry's aging-wheel node. It moves with the entry through
-	// growth rehashing and backward-shift deletion (entries copy by value);
-	// deletion simply orphans the node, which the next aging pass reaps.
-	node timewheel.Handle
-}
-
-// fdbShard is one open-addressing table: linear probing on the low hash
-// bits, load factor capped at 3/4.
-type fdbShard struct {
-	slots []fdbEntry
-	count int
-}
-
-// fdb is the sharded forwarding database.
-type fdb struct {
-	hash   netpkt.RSS
-	shards [fdbShardCnt]fdbShard
-	// wheel ages entries by last activity: one O(1) node insert per learned
-	// MAC, no wheel traffic on refresh, and an aging pass costs O(entries
-	// actually due) instead of a full-table sweep.
-	wheel *timewheel.Wheel
+// Pack pads the MAC into the Toeplitz window. Reached from the table's
+// //kite:hotpath lookups through the shardtab.Key constraint.
+func (k macKey) Pack() [12]byte {
+	var in [12]byte
+	copy(in[0:6], k[:])
+	return in
 }
 
 // fdbSeed keys the FDB's Toeplitz tables. Fixed so every run spreads MACs
@@ -64,238 +23,29 @@ type fdb struct {
 // collisions must not imply FDB probe collisions.
 const fdbSeed = 0xFDB0_5EED_0000_0001
 
-// fdbWheelGran × fdbWheelBuckets is the wheel rotation; aging cutoffs well
-// inside one rotation probe each healthy entry at most once per cutoff.
-const (
-	fdbWheelGran    = sim.Second
-	fdbWheelBuckets = 256
-)
-
-func (f *fdb) init() {
-	f.hash = netpkt.NewRSS(fdbSeed)
-	f.wheel = timewheel.New(fdbWheelGran, fdbWheelBuckets)
-}
-
-// macKey packs a MAC into the wheel's uint64 key space.
-func macKey(mac netpkt.MAC) uint64 {
-	return uint64(mac[0])<<40 | uint64(mac[1])<<32 | uint64(mac[2])<<24 |
-		uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
-}
-
-// keyMAC unpacks macKey.
-func keyMAC(k uint64) netpkt.MAC {
-	return netpkt.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24),
-		byte(k >> 16), byte(k >> 8), byte(k)}
-}
-
-// macHash pads the 6-byte MAC into the Toeplitz window.
+// lookup returns the port mac was learned on, or nil.
 //
 //kite:hotpath
-func (f *fdb) macHash(mac netpkt.MAC) uint32 {
-	var in [12]byte
-	copy(in[0:6], mac[:])
-	return f.hash.Hash12(&in)
+func (b *Bridge) lookup(mac netpkt.MAC) Port {
+	if e := b.fdb.Lookup(macKey(mac)); e != nil {
+		return e.Val
+	}
+	return nil
 }
 
-// shardOf selects by the top hash bits; the probe index uses the low bits,
-// so shard choice and slot choice are decorrelated.
-func (f *fdb) shardOf(h uint32) *fdbShard {
-	return &f.shards[h>>(32-fdbShardBits)]
-}
-
-// lookup returns the port mac was learned on, or nil. O(expected 1): one
-// probe run in one shard, no allocation.
+// learn records mac behind port, refreshing its last activity. Reports
+// whether the entry is new or moved ports (the Learned counter's trigger).
 //
 //kite:hotpath
-func (f *fdb) lookup(mac netpkt.MAC) Port {
-	h := f.macHash(mac)
-	s := f.shardOf(h)
-	if len(s.slots) == 0 {
-		return nil
+func (b *Bridge) learn(mac netpkt.MAC, port Port) bool {
+	now := b.eng.Now()
+	if e := b.fdb.Lookup(macKey(mac)); e != nil {
+		moved := e.Val != port
+		e.Val = port
+		e.Last = now
+		return moved
 	}
-	mask := uint32(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &s.slots[i]
-		if !e.used {
-			return nil
-		}
-		if e.mac == mac {
-			return e.port
-		}
-	}
-}
-
-// learn records mac behind port, refreshing lastSeen. Reports whether the
-// entry is new or moved ports (the Learned counter's trigger). Steady
-// state is one probe run and no allocation; a shard past 3/4 load doubles
-// first (amortized growth, the map-free analogue of bucket splitting).
-//
-//kite:hotpath
-func (f *fdb) learn(mac netpkt.MAC, port Port, now sim.Time) bool {
-	h := f.macHash(mac)
-	s := f.shardOf(h)
-	if len(s.slots) == 0 || (s.count+1)*4 > len(s.slots)*3 {
-		s.grow()
-	}
-	mask := uint32(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &s.slots[i]
-		if !e.used {
-			*e = fdbEntry{mac: mac, used: true, port: port, hash: h, lastSeen: now,
-				node: f.wheel.Add(macKey(mac), now)}
-			s.count++
-			return true
-		}
-		if e.mac == mac {
-			moved := e.port != port
-			e.port = port
-			e.lastSeen = now
-			return moved
-		}
-	}
-}
-
-// grow doubles the shard (or seeds it at fdbMinSlots) and rehashes every
-// live entry. Amortized over insertions; never on the pure-lookup path.
-func (s *fdbShard) grow() {
-	old := s.slots
-	n := 2 * len(old)
-	if n < fdbMinSlots {
-		n = fdbMinSlots
-	}
-	s.slots = make([]fdbEntry, n) //kite:alloc-ok amortized shard doubling to the fleet high-water mark
-	mask := uint32(n - 1)
-	for i := range old {
-		e := &old[i]
-		if !e.used {
-			continue
-		}
-		for j := e.hash & mask; ; j = (j + 1) & mask {
-			if !s.slots[j].used {
-				s.slots[j] = *e
-				break
-			}
-		}
-	}
-}
-
-// deleteAt removes the entry at slot i using backward-shift deletion:
-// subsequent entries in the probe run slide back over the hole so no
-// tombstones accumulate and lookup probe runs stay short forever.
-func (s *fdbShard) deleteAt(i uint32) {
-	mask := uint32(len(s.slots) - 1)
-	s.count--
-	hole := i
-	for {
-		s.slots[hole] = fdbEntry{}
-		j := hole
-		for {
-			j = (j + 1) & mask
-			e := &s.slots[j]
-			if !e.used {
-				return
-			}
-			// e may move into the hole only if its home slot is at or
-			// before the hole in cyclic probe order — otherwise the move
-			// would strand it ahead of its home.
-			if (j-(e.hash&mask))&mask >= (j-hole)&mask {
-				s.slots[hole] = *e
-				hole = j
-				break
-			}
-		}
-	}
-}
-
-// removeEntry locates mac's slot and backward-shift deletes it.
-func (f *fdb) removeEntry(mac netpkt.MAC) bool {
-	h := f.macHash(mac)
-	s := f.shardOf(h)
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint32(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &s.slots[i]
-		if !e.used {
-			return false
-		}
-		if e.mac == mac {
-			s.deleteAt(i)
-			return true
-		}
-	}
-}
-
-// removePort flushes every entry learned on port: shard by shard, slot by
-// slot in index order (deterministic). Restarting a shard's scan after a
-// delete is safe because backward-shift only moves entries to lower probe
-// positions; rescanning from the hole catches any entry shifted into
-// already-visited territory.
-func (f *fdb) removePort(port Port) int {
-	flushed := 0
-	for si := range f.shards {
-		s := &f.shards[si]
-		for i := uint32(0); int(i) < len(s.slots); {
-			e := &s.slots[i]
-			if e.used && e.port == port {
-				s.deleteAt(i)
-				flushed++
-				continue // the shift may have refilled slot i
-			}
-			i++
-		}
-	}
-	return flushed
-}
-
-// entryOf returns mac's live entry, or nil.
-func (f *fdb) entryOf(mac netpkt.MAC) *fdbEntry {
-	h := f.macHash(mac)
-	s := f.shardOf(h)
-	if len(s.slots) == 0 {
-		return nil
-	}
-	mask := uint32(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &s.slots[i]
-		if !e.used {
-			return nil
-		}
-		if e.mac == mac {
-			return e
-		}
-	}
-}
-
-// age evicts every entry idle longer than maxIdle and returns how many
-// were dropped — the FDB's periodic GC, keeping a fleet's worth of
-// short-lived guests from pinning table space forever. The wheel pass
-// probes only entries whose last activity has fallen behind the cutoff
-// (plus any orphaned nodes that came due), so a fleet of busy guests pays
-// nothing here; the evicted set is exactly what a full sweep would drop.
-func (f *fdb) age(now, maxIdle sim.Time) int {
-	dropped := 0
-	f.wheel.Advance(now-maxIdle-1,
-		func(h timewheel.Handle, key uint64) sim.Time {
-			e := f.entryOf(keyMAC(key))
-			if e == nil || e.node != h {
-				return timewheel.Gone
-			}
-			return e.lastSeen
-		},
-		func(key uint64) {
-			f.removeEntry(keyMAC(key))
-			dropped++
-		})
-	return dropped
-}
-
-// len returns the number of learned entries across all shards.
-func (f *fdb) len() int {
-	n := 0
-	for i := range f.shards {
-		n += f.shards[i].count
-	}
-	return n
+	e, _ := b.fdb.Insert(macKey(mac), now)
+	e.Val = port
+	return true
 }

@@ -112,7 +112,14 @@ func (w *flowExec) execStmt(s ast.Stmt, in int) int {
 		}, st.Cond == nil)
 	case *ast.RangeStmt:
 		in = w.scanExpr(st.X, in)
+		bind := rangeBind(st)
 		return w.execLoop(in, func(s int) int {
+			if bind != nil {
+				// Every iteration rebinds the key/value variables: state
+				// carried around the back edge belongs to the previous
+				// element, not this one.
+				s = w.execStmt(bind, s)
+			}
 			return w.execBlock(st.Body, s)
 		}, false)
 	case *ast.SwitchStmt:
@@ -193,6 +200,22 @@ func (w *flowExec) scanExpr(e ast.Expr, in int) int {
 		return in
 	}
 	return w.client.scan(e, in)
+}
+
+// rangeBind renders a range clause's per-iteration binding of its
+// key/value variables as an assignment with no right-hand side, so clients
+// see the rebinding the way they see `v = ...`; nil when nothing is bound.
+func rangeBind(st *ast.RangeStmt) *ast.AssignStmt {
+	var lhs []ast.Expr
+	for _, e := range []ast.Expr{st.Key, st.Value} {
+		if e != nil {
+			lhs = append(lhs, e)
+		}
+	}
+	if lhs == nil {
+		return nil
+	}
+	return &ast.AssignStmt{Lhs: lhs, TokPos: st.TokPos, Tok: st.Tok}
 }
 
 // hasJumps reports whether a body uses goto or labeled branches, which the

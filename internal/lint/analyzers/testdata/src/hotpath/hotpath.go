@@ -63,3 +63,30 @@ func warm(p *pool) {
 
 // neverMarked is not reachable from a hot root; it may allocate freely.
 func neverMarked() []byte { return make([]byte, 1) }
+
+// member is a type-parameter constraint: calls through it fan out to every
+// module type that satisfies it, the way a generic service lane reaches
+// each backend's drain.
+type member interface{ drain(budget int) int }
+
+type cleanMember struct{ n int }
+
+func (m *cleanMember) drain(budget int) int { return budget - m.n }
+
+type allocMember struct{ log []string }
+
+func (m *allocMember) drain(budget int) int {
+	m.log = []string{"drained"} // want `slice literal allocation`
+	return budget
+}
+
+type genericLane[M member] struct{ members []M }
+
+//kite:hotpath
+func (l *genericLane[M]) round(budget int) int {
+	used := 0
+	for _, m := range l.members {
+		used += m.drain(budget)
+	}
+	return used
+}

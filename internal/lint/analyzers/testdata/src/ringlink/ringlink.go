@@ -118,3 +118,51 @@ func loopReuse(r *ring, slots []int32) {
 		r.put(s)
 	}
 }
+
+// rangeUnlink unlinks each ranged slot once: every iteration rebinds s, so
+// the previous element's unlinked state does not carry over. Clean.
+func rangeUnlink(r *ring, slots []int32) {
+	for _, s := range slots {
+		if r.next[s] < 0 {
+			continue
+		}
+		r.unlink(s)
+	}
+}
+
+// rangeDoubleUnlink unlinks the same ranged slot twice in one iteration.
+func rangeDoubleUnlink(r *ring, slots []int32) {
+	for _, s := range slots {
+		r.unlink(s)
+		r.unlink(s) // want `double-unlink`
+	}
+}
+
+// lane is a generic slab ring, the shape of the fleet's DRR lanes.
+type lane[M any] struct {
+	members []M
+	next    []int32
+}
+
+// link inserts slot s.
+//
+//kite:ringlink link
+func (l *lane[M]) link(s int32) { l.next[s] = s }
+
+// unlink removes slot s.
+//
+//kite:ringlink unlink
+func (l *lane[M]) unlink(s int32) { l.next[s] = -1 }
+
+// genericDoubleUnlink calls the generic type's operations from its own
+// method: the instantiated callees resolve to their declarations.
+func (l *lane[M]) genericDoubleUnlink(s int32) {
+	l.unlink(s)
+	l.unlink(s) // want `double-unlink`
+}
+
+// instantiatedDoubleLink calls them through an instantiation.
+func instantiatedDoubleLink(l *lane[int], s int32) {
+	l.link(s)
+	l.link(s) // want `double-link`
+}

@@ -86,18 +86,21 @@ func runXskeys(pass *analysis.Pass) error {
 // staticCallee resolves a call to its static *types.Func target (method or
 // package function), or nil for builtins, conversions, and dynamic calls.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[f].(*types.Func)
-		return fn
+		fn, _ = info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[f]; ok && sel.Kind() == types.MethodVal {
-			return sel.Obj().(*types.Func)
+			fn = sel.Obj().(*types.Func)
+		} else {
+			fn, _ = info.Uses[f.Sel].(*types.Func)
 		}
-		fn, _ := info.Uses[f.Sel].(*types.Func)
-		return fn
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // flagRawKeyLiterals walks one checked argument expression and reports

@@ -87,10 +87,8 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 		{"kite/internal/timewheel", "alloc"},
 		{"kite/internal/timewheel", "link"},
 		{"kite/internal/timewheel", "release"},
-		{"kite/internal/netback", "link"},
-		{"kite/internal/netback", "unlink"},
-		{"kite/internal/blkback", "link"},
-		{"kite/internal/blkback", "unlink"},
+		{"kite/internal/lane", "link"},
+		{"kite/internal/lane", "unlink"},
 		{"kite/internal/framepool", "stageRemote"},
 	}
 	for _, r := range ringlink {
@@ -139,16 +137,18 @@ func TestHotPathCoverage(t *testing.T) {
 		{"kite/internal/framepool", "Release"},
 		{"kite/internal/blkpool", "Get"},
 		{"kite/internal/blkpool", "Release"},
-		// Fleet O(active) fast paths: the shared-lane active ring, the
-		// two-level doorbell bitmap, and the idle-aging timer wheel.
-		{"kite/internal/netback", "activate"},
-		{"kite/internal/netback", "link"},
-		{"kite/internal/netback", "unlink"},
-		{"kite/internal/netback", "round"},
-		{"kite/internal/blkback", "activate"},
-		{"kite/internal/blkback", "link"},
-		{"kite/internal/blkback", "unlink"},
-		{"kite/internal/blkback", "round"},
+		// Fleet O(active) fast paths: the shared DRR lane (whose round
+		// reaches both backends' Drain and Flush through its type
+		// parameter), the sharded FDB/NAT table, the two-level doorbell
+		// bitmap, and the idle-aging timer wheel.
+		{"kite/internal/lane", "Activate"},
+		{"kite/internal/lane", "Owe"},
+		{"kite/internal/lane", "link"},
+		{"kite/internal/lane", "unlink"},
+		{"kite/internal/lane", "round"},
+		{"kite/internal/shardtab", "Lookup"},
+		{"kite/internal/shardtab", "Insert"},
+		{"kite/internal/shardtab", "Get"},
 		{"kite/internal/xen", "mark"},
 		{"kite/internal/xen", "scan"},
 		{"kite/internal/xen", "nextPending"},

@@ -4,27 +4,17 @@ import (
 	"encoding/binary"
 
 	"kite/internal/netpkt"
-	"kite/internal/sim"
-	"kite/internal/timewheel"
+	"kite/internal/shardtab"
 )
 
-// The flow table is sharded the same way the bridge FDB is: a power-of-two
-// array of shards selected by the top bits of a Toeplitz hash over the
-// flow key (netpkt.RSS — the hash family the data plane already trusts),
-// so lookup stays O(1), allocation-free, and deterministic at any flow
-// count. Each shard keeps its flow records in a slab with an intrusive
-// free-list — records are reused in place, so a driver domain churning
-// through tenant connect/disconnect cycles reaches a high-water mark and
-// never allocates again — and an open-addressing index of slab positions
-// with backward-shift deletion. Slab positions are stable for a record's
-// lifetime, which lets the reverse (external-port) table be a flat array
-// of packed references instead of a second map.
+// The flow table is a shardtab.Table from guest endpoint to translation:
+// O(1), allocation-free lookup at any flow count, slab records recycled
+// through a free-list so tenant churn reaches a high-water mark and stops
+// allocating, and deterministic idle expiry on the table's timer wheel.
+// Slab references are stable for a flow's lifetime, which lets the reverse
+// (external-port) table be a flat array of them instead of a second map.
 
 const (
-	natShardBits = 3
-	natShardCnt  = 1 << natShardBits
-	// natMinSlots is a shard's initial index capacity; power of two.
-	natMinSlots = 64
 	// portBase is the first dynamic external port; everything below is
 	// reserved for static forwards and well-known services.
 	portBase = 20000
@@ -33,253 +23,32 @@ const (
 	portSpan = 1<<16 - portBase
 )
 
-// flowEnt is one translation record in a shard's slab. When free, next
-// links the shard's free-list; when live, hash caches the key's Toeplitz
-// hash for index maintenance.
-type flowEnt struct {
-	key     flowKey
-	hash    uint32
+// flowKey identifies an outbound flow by its guest endpoint.
+type flowKey struct {
+	proto   uint8
+	guestIP netpkt.IP
+	guestPt uint16 // ICMP: echo ID
+}
+
+// Pack pads the flow key into the Toeplitz window. Reached from the
+// table's //kite:hotpath lookups through the shardtab.Key constraint.
+func (k flowKey) Pack() [12]byte {
+	var in [12]byte
+	copy(in[0:4], k.guestIP[:])
+	in[4] = k.proto
+	binary.BigEndian.PutUint16(in[8:10], k.guestPt)
+	return in
+}
+
+// flow is one translation's value.
+type flow struct {
 	extPort uint16
-	used    bool
-	dyn     bool  // extPort was dynamically allocated (vs a static forward's)
-	next    int32 // free-list link (slab index), -1 terminates
-	lastUse sim.Time
-	// node is the record's aging-wheel node; a freed or recycled slab slot
-	// orphans it and the next aging pass reaps it by handle mismatch.
-	node timewheel.Handle
+	dyn     bool // extPort was dynamically allocated (vs a static forward's)
 }
 
-// flowShard is one slab + open-addressing index. index slots hold slab
-// position + 1 (0 means empty) probed linearly on the low hash bits.
-type flowShard struct {
-	index    []int32
-	slab     []flowEnt
-	freeHead int32
-	count    int
-}
-
-// flowTable is the sharded flow store.
-type flowTable struct {
-	hash   netpkt.RSS
-	shards [natShardCnt]flowShard
-	count  int
-	// wheel ages records by last use: O(1) node insert per flow, no wheel
-	// traffic on the rewrite path, expiry cost proportional to records
-	// actually due.
-	wheel *timewheel.Wheel
-}
-
-// flowRef packs (shard, slab index) for the reverse table: shard in the
-// top bits, slab position + 1 in the rest; zero means no flow.
-type flowRef int32
-
-func packRef(shard int, idx int32) flowRef {
-	return flowRef(int32(shard)<<24 | (idx + 1))
-}
-
-func (r flowRef) unpack() (int, int32) { return int(r >> 24), int32(r&0xffffff) - 1 }
+// flowEnt is one translation record.
+type flowEnt = shardtab.Entry[flowKey, flow]
 
 // natSeed keys the flow table's Toeplitz tables (fixed: deterministic
 // spreading, independent of the rig RSS seed).
 const natSeed = 0x0A10_5EED_0000_0002
-
-// natWheelGran × natWheelBuckets is the wheel rotation (see the bridge
-// FDB's wheel for the sizing rule).
-const (
-	natWheelGran    = sim.Second
-	natWheelBuckets = 256
-)
-
-func (t *flowTable) init() {
-	t.hash = netpkt.NewRSS(natSeed)
-	for i := range t.shards {
-		t.shards[i].freeHead = -1
-	}
-	t.wheel = timewheel.New(natWheelGran, natWheelBuckets)
-}
-
-// keyHash pads the flow key into the Toeplitz window.
-//
-//kite:hotpath
-func (t *flowTable) keyHash(key flowKey) uint32 {
-	var in [12]byte
-	copy(in[0:4], key.guestIP[:])
-	in[4] = key.proto
-	binary.BigEndian.PutUint16(in[8:10], key.guestPt)
-	return t.hash.Hash12(&in)
-}
-
-// lookup returns the live record for key, or nil. One probe run in one
-// shard; no allocation.
-//
-//kite:hotpath
-func (t *flowTable) lookup(key flowKey) *flowEnt {
-	h := t.keyHash(key)
-	s := &t.shards[h>>(32-natShardBits)]
-	if len(s.index) == 0 {
-		return nil
-	}
-	mask := uint32(len(s.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		ref := s.index[i]
-		if ref == 0 {
-			return nil
-		}
-		e := &s.slab[ref-1]
-		if e.key == key {
-			return e
-		}
-	}
-}
-
-// insert claims a record for key (which must not be present), stamped as
-// last used now, and returns it plus its packed reference for the reverse
-// table. The record comes from the shard's free-list when one is
-// available; otherwise the slab grows (amortized to the churn high-water
-// mark).
-func (t *flowTable) insert(key flowKey, now sim.Time) (*flowEnt, flowRef) {
-	h := t.keyHash(key)
-	si := int(h >> (32 - natShardBits))
-	s := &t.shards[si]
-	var idx int32
-	if s.freeHead >= 0 {
-		idx = s.freeHead
-		s.freeHead = s.slab[idx].next
-	} else {
-		idx = int32(len(s.slab))
-		s.slab = append(s.slab, flowEnt{}) //kite:alloc-ok slab grows to the churn high-water mark, then the free-list recycles
-	}
-	e := &s.slab[idx]
-	ref := packRef(si, idx)
-	*e = flowEnt{key: key, hash: h, used: true, next: -1, lastUse: now,
-		node: t.wheel.Add(uint64(ref), now)}
-	if len(s.index) == 0 || (s.count+1)*4 > len(s.index)*3 {
-		s.growIndex()
-	}
-	mask := uint32(len(s.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if s.index[i] == 0 {
-			s.index[i] = idx + 1
-			break
-		}
-	}
-	s.count++
-	t.count++
-	return e, ref
-}
-
-// growIndex doubles the shard's index (or seeds it) and reinserts every
-// live reference by cached hash.
-func (s *flowShard) growIndex() {
-	old := s.index
-	n := 2 * len(old)
-	if n < natMinSlots {
-		n = natMinSlots
-	}
-	s.index = make([]int32, n) //kite:alloc-ok amortized shard-index doubling
-	mask := uint32(n - 1)
-	for _, ref := range old {
-		if ref == 0 {
-			continue
-		}
-		h := s.slab[ref-1].hash
-		for j := h & mask; ; j = (j + 1) & mask {
-			if s.index[j] == 0 {
-				s.index[j] = ref
-				break
-			}
-		}
-	}
-}
-
-// get resolves a packed reference from the reverse table.
-//
-//kite:hotpath
-func (t *flowTable) get(r flowRef) *flowEnt {
-	if r == 0 {
-		return nil
-	}
-	si, idx := r.unpack()
-	return &t.shards[si].slab[idx]
-}
-
-// remove deletes key's record: backward-shift in the index, record pushed
-// onto the shard free-list. Returns the dead record's external port (for
-// reverse-table cleanup) and whether it existed.
-func (t *flowTable) remove(key flowKey) (uint16, bool) {
-	h := t.keyHash(key)
-	si := int(h >> (32 - natShardBits))
-	s := &t.shards[si]
-	if len(s.index) == 0 {
-		return 0, false
-	}
-	mask := uint32(len(s.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		ref := s.index[i]
-		if ref == 0 {
-			return 0, false
-		}
-		idx := ref - 1
-		e := &s.slab[idx]
-		if e.key != key {
-			continue
-		}
-		ext := e.extPort
-		e.used = false
-		e.next = s.freeHead
-		s.freeHead = idx
-		s.deleteIndexAt(i)
-		s.count--
-		t.count--
-		return ext, true
-	}
-}
-
-// deleteIndexAt removes index slot i with backward-shift deletion (the
-// same hole-filling walk as the bridge FDB; home slots come from the
-// records' cached hashes).
-func (s *flowShard) deleteIndexAt(i uint32) {
-	mask := uint32(len(s.index) - 1)
-	hole := i
-	for {
-		s.index[hole] = 0
-		j := hole
-		for {
-			j = (j + 1) & mask
-			ref := s.index[j]
-			if ref == 0 {
-				return
-			}
-			home := s.slab[ref-1].hash & mask
-			if (j-home)&mask >= (j-hole)&mask {
-				s.index[hole] = ref
-				hole = j
-				break
-			}
-		}
-	}
-}
-
-// expire removes records idle past maxIdle, invoking dead for each before
-// unlinking so the caller can clear its reverse entry. The wheel pass
-// probes only records whose last use has fallen behind the cutoff (plus
-// orphaned nodes that came due); the expired set is exactly what a full
-// slab sweep would drop, in deterministic node order.
-func (t *flowTable) expire(now, maxIdle sim.Time, dead func(*flowEnt)) int {
-	dropped := 0
-	t.wheel.Advance(now-maxIdle-1,
-		func(h timewheel.Handle, key uint64) sim.Time {
-			e := t.get(flowRef(key))
-			if e == nil || !e.used || e.node != h {
-				return timewheel.Gone
-			}
-			return e.lastUse
-		},
-		func(key uint64) {
-			e := t.get(flowRef(key))
-			dead(e)
-			t.remove(e.key)
-			dropped++
-		})
-	return dropped
-}

@@ -17,15 +17,9 @@ import (
 	"fmt"
 
 	"kite/internal/netpkt"
+	"kite/internal/shardtab"
 	"kite/internal/sim"
 )
-
-// proto keys for the flow table.
-type flowKey struct {
-	proto   uint8
-	guestIP netpkt.IP
-	guestPt uint16 // ICMP: echo ID
-}
 
 // Stats counts translator activity.
 type Stats struct {
@@ -47,11 +41,11 @@ type Translator struct {
 	// PerPacketCost models the translation work.
 	PerPacketCost sim.Time
 
-	flows flowTable
+	flows shardtab.Table[flowKey, flow]
 	// reverse maps an external port straight to its flow record: a flat
-	// array of packed (shard, slab-index) references — O(1) inbound match
-	// with no second hash table to keep consistent.
-	reverse  [1 << 16]flowRef
+	// array of stable table references — O(1) inbound match with no second
+	// hash table to keep consistent.
+	reverse  [1 << 16]shardtab.Ref
 	forwards []forwardEnt // sorted by extPort; control-plane sized
 	nextPort uint16
 	dynPorts int // dynamic ports currently allocated
@@ -73,7 +67,7 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, gateway netpkt.IP) *Translator {
 		PerPacketCost: 350 * sim.Nanosecond,
 		nextPort:      portBase,
 	}
-	t.flows.init()
+	t.flows.Init(natSeed)
 	return t
 }
 
@@ -81,7 +75,7 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, gateway netpkt.IP) *Translator {
 func (t *Translator) Stats() Stats { return t.stats }
 
 // Flows returns the number of active translations.
-func (t *Translator) Flows() int { return t.flows.count }
+func (t *Translator) Flows() int { return t.flows.Len() }
 
 // AddForward installs a static inbound mapping (gateway:extPort ->
 // guest:guestPort), the rdr rule servers behind NAT need.
@@ -151,8 +145,8 @@ func (t *Translator) allocPort() (uint16, bool) {
 //kite:hotpath
 func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *flowEnt {
 	key := flowKey{proto: proto, guestIP: guest, guestPt: guestPort}
-	if f := t.flows.lookup(key); f != nil {
-		f.lastUse = t.eng.Now()
+	if f := t.flows.Lookup(key); f != nil {
+		f.Last = t.eng.Now()
 		return f
 	}
 	ext := uint16(0)
@@ -173,9 +167,8 @@ func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *fl
 		t.dynPorts++
 		dyn = true
 	}
-	f, ref := t.flows.insert(key, t.eng.Now())
-	f.extPort = ext
-	f.dyn = dyn
+	f, ref := t.flows.Insert(key, t.eng.Now())
+	f.Val = flow{extPort: ext, dyn: dyn}
 	t.reverse[ext] = ref
 	t.stats.FlowsAlloc++
 	return f
@@ -204,7 +197,7 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 			t.stats.Dropped++
 			return false
 		}
-		binary.BigEndian.PutUint16(payload[0:2], f.extPort)
+		binary.BigEndian.PutUint16(payload[0:2], f.Val.extPort)
 	case netpkt.ProtoUDP:
 		if len(payload) < netpkt.UDPHeaderLen {
 			t.stats.Dropped++
@@ -215,7 +208,7 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 			t.stats.Dropped++
 			return false
 		}
-		binary.BigEndian.PutUint16(payload[0:2], f.extPort)
+		binary.BigEndian.PutUint16(payload[0:2], f.Val.extPort)
 	case netpkt.ProtoICMP:
 		eh, _, ok := netpkt.DecodeICMPEcho(payload)
 		if !ok || eh.Type != netpkt.ICMPEchoRequest {
@@ -227,7 +220,7 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 			t.stats.Dropped++
 			return false
 		}
-		binary.BigEndian.PutUint16(payload[4:6], f.extPort)
+		binary.BigEndian.PutUint16(payload[4:6], f.Val.extPort)
 		reICMPChecksum(payload)
 	default:
 		t.stats.Dropped++
@@ -272,14 +265,14 @@ func (t *Translator) RewriteInbound(pkt []byte) (netpkt.IP, bool) {
 			t.stats.Dropped++
 			return netpkt.IP{}, false
 		}
-		f := t.flows.get(t.reverse[eh.ID])
-		if f == nil || f.key.proto != netpkt.ProtoICMP {
+		f := t.flows.Get(t.reverse[eh.ID])
+		if f == nil || f.Key.proto != netpkt.ProtoICMP {
 			t.stats.Dropped++
 			return netpkt.IP{}, false
 		}
-		binary.BigEndian.PutUint16(payload[4:6], f.key.guestPt)
+		binary.BigEndian.PutUint16(payload[4:6], f.Key.guestPt)
 		reICMPChecksum(payload)
-		dst = f.key.guestIP
+		dst = f.Key.guestIP
 	default:
 		t.stats.Dropped++
 		return netpkt.IP{}, false
@@ -331,9 +324,9 @@ func (t *Translator) TranslateInbound(pkt []byte) ([]byte, netpkt.IP) {
 //
 //kite:hotpath
 func (t *Translator) matchInbound(proto uint8, extPort uint16) (netpkt.IP, uint16, bool) {
-	if f := t.flows.get(t.reverse[extPort]); f != nil && f.key.proto == proto {
-		f.lastUse = t.eng.Now()
-		return f.key.guestIP, f.key.guestPt, true
+	if f := t.flows.Get(t.reverse[extPort]); f != nil && f.Key.proto == proto {
+		f.Last = t.eng.Now()
+		return f.Key.guestIP, f.Key.guestPt, true
 	}
 	if fwd, ok := t.lookupForward(extPort); ok {
 		return fwd.ip, fwd.port, true
@@ -343,17 +336,21 @@ func (t *Translator) matchInbound(proto uint8, extPort uint16) (netpkt.IP, uint1
 
 // Expire drops flows idle for longer than maxIdle (the translator's GC,
 // called periodically by the network application). The walk is in
-// deterministic shard/slab order; records return to their shard's
-// free-list and dynamic ports become allocatable again.
+// deterministic order; records return to their shard's free-list and
+// dynamic ports become allocatable again.
 func (t *Translator) Expire(maxIdle sim.Time) int {
-	dropped := t.flows.expire(t.eng.Now(), maxIdle, func(f *flowEnt) {
-		t.reverse[f.extPort] = 0
-		if f.dyn {
-			t.dynPorts--
-		}
-	})
+	dropped := t.flows.Age(t.eng.Now(), maxIdle, t.release)
 	t.stats.FlowsExpired += uint64(dropped)
 	return dropped
+}
+
+// release returns a dying flow's external port: the reverse entry clears
+// and a dynamic port becomes allocatable again.
+func (t *Translator) release(f *flowEnt) {
+	t.reverse[f.Val.extPort] = 0
+	if f.Val.dyn {
+		t.dynPorts--
+	}
 }
 
 // DropGuest removes every flow owned by a guest address — the teardown
@@ -361,21 +358,13 @@ func (t *Translator) Expire(maxIdle sim.Time) int {
 // translations stop pinning external ports immediately instead of waiting
 // out the idle timer.
 func (t *Translator) DropGuest(guest netpkt.IP) int {
-	dropped := 0
-	for si := range t.flows.shards {
-		s := &t.flows.shards[si]
-		for idx := range s.slab {
-			f := &s.slab[idx]
-			if f.used && f.key.guestIP == guest {
-				t.reverse[f.extPort] = 0
-				if f.dyn {
-					t.dynPorts--
-				}
-				t.flows.remove(f.key)
-				dropped++
-			}
+	dropped := t.flows.RemoveWhere(func(f *flowEnt) bool {
+		if f.Key.guestIP != guest {
+			return false
 		}
-	}
+		t.release(f)
+		return true
+	})
 	t.stats.FlowsExpired += uint64(dropped)
 	return dropped
 }

@@ -418,10 +418,9 @@ func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid in
 	if err := dom.SetHandler(port, q.onEvent); err != nil {
 		return nil, err
 	}
-	if err := lane.demux.Join(port); err != nil {
+	if q.laneSlot, err = lane.Join(q, port); err != nil {
 		return nil, fmt.Errorf("netback: %s: %w", v.name, err)
 	}
-	q.laneSlot = lane.join(q)
 	q.txDone = sim.NewBatch(q.eng, q.flushTx)
 	v.queues[0] = q
 	return v, nil
@@ -496,7 +495,8 @@ func (v *VIF) Shutdown() {
 	v.dead = true
 	for _, q := range v.queues {
 		if q.lane != nil {
-			q.lane.detach(q)
+			q.lane.Detach(q.port, q.laneSlot)
+			q.laneSlot = -1
 		}
 		_ = v.dom.Close(q.port)
 		for q.rxQueue.Len() > 0 {
@@ -539,7 +539,7 @@ func (q *vifQueue) onEvent() {
 		// Fleet mode: no dedicated threads — put the queue into its lane's
 		// DRR round if the doorbell brought actionable work.
 		if q.tx.RequestAvailable() || (q.rxQueue.Len() > 0 && q.rx.RequestAvailable()) {
-			q.lane.activate(q)
+			q.lane.Activate(q.laneSlot)
 		}
 		return
 	}
@@ -688,7 +688,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 //kite:hotpath
 func (q *vifQueue) notifyFront() {
 	if q.lane != nil {
-		q.lane.members[q.laneSlot].notify = true
+		q.lane.Owe(q.laneSlot)
 		return
 	}
 	q.v.dom.Notify(q.port)
@@ -776,7 +776,7 @@ func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 	}
 	q.rxQueue.Push(frame)
 	if q.lane != nil {
-		q.lane.activate(q)
+		q.lane.Activate(q.laneSlot)
 		return
 	}
 	if v.costs.InHandler {
