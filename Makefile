@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: verify build test race vet lint race-stress zeroalloc bench
+.PHONY: verify build test race vet lint race-stress zeroalloc perfbench bench
 
 # verify is the tree-must-be-green gate: vet, build everything, kitelint
 # (the repo's own invariant analyzers), the zero-allocation forward-path
 # assertion (which the race detector's instrumentation would distort, so
-# it runs in a normal build), then the full test suite under the race
-# detector (which also exercises the parallel experiment runner's
-# determinism tests).
-verify: vet build lint zeroalloc race
+# it runs in a normal build), the benchmark harness check, then the full
+# test suite under the race detector (which also exercises the parallel
+# experiment runner's determinism tests).
+verify: vet build lint zeroalloc perfbench race
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +42,13 @@ race:
 
 zeroalloc:
 	$(GO) test -count=1 -run 'TestForwardPathZeroAlloc|TestBlockPathZeroAlloc' ./internal/core
+
+# perfbench vets and unit-tests the benchmark harness. _perfbench is its
+# own module (kite replaced by ../), outside ./..., so no other target
+# compiles it: a change to an internal API the harness calls would
+# otherwise go unnoticed until the benchmark pipeline runs.
+perfbench:
+	cd _perfbench && GOFLAGS= GOWORK=off GOPROXY=off $(GO) vet . && GOFLAGS= GOWORK=off GOPROXY=off $(GO) test -count=1 .
 
 # bench snapshots the forward-path pipeline benchmarks into BENCH_net.json
 # (frames per second, the multi-queue simframes/sec sweep over

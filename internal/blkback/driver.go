@@ -11,15 +11,13 @@ import (
 	"kite/internal/xenstore"
 )
 
-const scanCost = 5 * sim.Microsecond
-
-// Driver is the storage backend driver: it watches the driver domain's
-// backend/vbd subtree, advertises device properties for each new vbd
-// (§4.4: sectors, sector size, flush, persistent grants, indirect limit),
-// and pairs frontends with blkback instances through the same
-// backend-invocation thread pattern as networking (§4.1). The vbd window
-// on the physical device comes from the toolstack-written "params" key
-// ("<base>:<sectors>").
+// Driver is the storage backend driver: the device half of a
+// xenbus.Backend watching the driver domain's backend/vbd subtree. It
+// advertises device properties for each new vbd (§4.4: sectors, sector
+// size, flush, persistent grants, indirect limit) and pairs frontends
+// with blkback instances through the same backend-invocation thread as
+// networking (§4.1). The vbd window on the physical device comes from the
+// toolstack-written "params" key ("<base>:<sectors>").
 type Driver struct {
 	eng   *sim.Engine
 	dom   *xen.Domain
@@ -27,36 +25,22 @@ type Driver struct {
 	reg   *blkif.Registry
 	dev   *nvme.Device
 	costs Costs
+	be    *xenbus.Backend[*Instance]
+
+	// base and sectors are the window Advertise read for the vbd being
+	// paired; Connect, in the same attempt, builds the instance on it.
+	base, sectors int64
 
 	lanes    []*ServiceLane // fleet mode: shared DRR workers
 	laneNext int            // round-robin lane assignment cursor
-	tenants  *xenbus.TenantRegistry
-
-	thread    *sim.Task
-	instances map[string]*Instance
-	order     []*Instance     // live instances in attach order (deterministic walks)
-	watched   map[string]bool // frontend paths already under watch
-
-	// OnInstance is invoked when a new vbd connects (the block status
-	// application uses it).
-	OnInstance func(*Instance)
-
-	invocations uint64
 }
 
 // NewDriver starts the backend driver in dom, exporting windows of dev.
 func NewDriver(eng *sim.Engine, dom *xen.Domain, bus *xenbus.Bus,
 	reg *blkif.Registry, dev *nvme.Device, costs Costs) *Driver {
 
-	drv := &Driver{
-		eng: eng, dom: dom, bus: bus, reg: reg, dev: dev, costs: costs,
-		instances: make(map[string]*Instance),
-		watched:   make(map[string]bool),
-	}
-	drv.thread = sim.NewTask(eng, dom.CPUs.CPU(0), dom.Name+"/vbd-invoker",
-		costs.WakeLatency, drv.scan)
-	bus.Store().Watch(xenbus.BackendRoot(xenbus.DomID(dom.ID), xenstore.DevVbd), "blkback",
-		func(string, string) { drv.thread.Wake() })
+	drv := &Driver{eng: eng, dom: dom, bus: bus, reg: reg, dev: dev, costs: costs}
+	drv.be = xenbus.NewBackend[*Instance](eng, dom, bus, xenstore.DevVbd, blkif.MaxQueues, costs.WakeLatency, drv)
 	return drv
 }
 
@@ -64,158 +48,75 @@ func NewDriver(eng *sim.Engine, dom *xen.Domain, bus *xenbus.Bus,
 // lane i's worker runs on vCPU i (mod the domain's vCPU count), and
 // connecting single-queue frontends are assigned to lanes round-robin
 // instead of getting dedicated request threads. The backend-invocation
-// thread moves to the domain's last vCPU. Must be called before any
+// thread moves to the domain's last vCPU. It returns the tenant ledger
+// the driver reports attaches and detaches to. Must be called before any
 // frontend connects.
-func (d *Driver) SetFleet(n int) {
-	d.thread = sim.NewTask(d.eng, d.dom.CPUs.CPU(d.dom.CPUs.Len()-1),
-		d.dom.Name+"/vbd-invoker", d.costs.WakeLatency, d.scan)
+func (d *Driver) SetFleet(n int) *xenbus.TenantRegistry {
 	d.lanes = make([]*ServiceLane, n)
 	for i := range d.lanes {
 		d.lanes[i] = NewServiceLane(i, d.dom, d.eng, i%d.dom.CPUs.Len(), d.costs)
 	}
+	return d.be.Fleet()
 }
-
-// SetTenantRegistry installs the control-plane ledger the driver reports
-// attach/detach events to.
-func (d *Driver) SetTenantRegistry(r *xenbus.TenantRegistry) { d.tenants = r }
 
 // Lanes returns the fleet service lanes (nil in dedicated-worker mode).
 func (d *Driver) Lanes() []*ServiceLane { return d.lanes }
 
 // Instances returns the live blkback instances in attach order.
-func (d *Driver) Instances() []*Instance {
-	out := make([]*Instance, len(d.order))
-	copy(out, d.order)
-	return out
-}
+func (d *Driver) Instances() []*Instance { return d.be.Instances() }
 
 // Invocations counts pairing attempts.
-func (d *Driver) Invocations() uint64 { return d.invocations }
+func (d *Driver) Invocations() uint64 { return d.be.Invocations() }
 
-func (d *Driver) scan() {
-	d.dom.CPUs.Charge(scanCost)
-	st := d.bus.Store()
-	root := xenbus.BackendRoot(xenbus.DomID(d.dom.ID), xenstore.DevVbd)
-	for _, frontStr := range st.List(root) {
-		var frontDom int
-		if _, err := fmt.Sscanf(frontStr, "%d", &frontDom); err != nil {
-			continue
-		}
-		for _, devStr := range st.List(root + "/" + frontStr) {
-			var devid int
-			if _, err := fmt.Sscanf(devStr, "%d", &devid); err != nil {
-				continue
-			}
-			backPath := root + "/" + frontStr + "/" + devStr
-			if _, exists := d.instances[backPath]; exists {
-				continue
-			}
-			d.tryPair(backPath, xen.DomID(frontDom), devid)
-		}
+// Advertise checks the vbd's window on every attempt (a bad one closes
+// the backend) and at Initialising advertises the device properties (§4.4
+// initialization).
+func (d *Driver) Advertise(backPath string, _ xenbus.State) error {
+	var err error
+	if d.base, d.sectors, err = d.window(backPath); err != nil {
+		return err
 	}
+	// Read the state once more after params. It always equals the state
+	// Backend passed in (nothing runs between the two reads), but every
+	// vbd pairing attempt pays this store op and the control-plane op
+	// counts include it.
+	if d.bus.State(backPath) != xenbus.StateInitialising {
+		return nil
+	}
+	st := d.bus.Store()
+	st.Writef(backPath+"/"+xenstore.KeySectors, "%d", d.sectors)
+	st.Writef(backPath+"/"+xenstore.KeySectorSize, "%d", blkif.SectorSize)
+	d.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
+	d.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, d.costs.Persistent)
+	if d.costs.Indirect {
+		st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
+	}
+	return nil
 }
 
-func (d *Driver) tryPair(backPath string, frontDom xen.DomID, devid int) {
-	st := d.bus.Store()
-	frontPath, ok := st.Read(backPath + "/" + xenstore.KeyFrontend)
-	if !ok {
-		return
+// Connect maps the frontend's rings and builds its instance on a fleet
+// lane or with dedicated request threads. The storage ledger records no
+// lane, so the lane it returns is always -1.
+func (d *Driver) Connect(c xenbus.Conn) (*Instance, int, error) {
+	ch, ok := d.reg.Claim(c.FrontDom, c.DevID)
+	if !ok || ch.NumQueues() != len(c.Ports) {
+		// Rings not published yet, or store and registry disagree.
+		return nil, -1, xenbus.ErrNotReady
 	}
-	switch d.bus.State(backPath) {
-	case xenbus.StateClosed, xenbus.StateClosing:
-		return
-	}
-	base, sectors, err := d.window(backPath)
-	if err != nil {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-		return
-	}
-
-	if d.bus.State(backPath) == xenbus.StateInitialising {
-		// Advertise device properties (§4.4 initialization), including how
-		// many hardware queues we can serve: one per driver-domain vCPU,
-		// capped like xen-blkback's max_queues module parameter.
-		st.Writef(backPath+"/"+xenstore.KeySectors, "%d", sectors)
-		st.Writef(backPath+"/"+xenstore.KeySectorSize, "%d", blkif.SectorSize)
-		d.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
-		d.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, d.costs.Persistent)
-		if d.costs.Indirect {
-			st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
-		}
-		maxq := d.dom.CPUs.Len()
-		if maxq > blkif.MaxQueues {
-			maxq = blkif.MaxQueues
-		}
-		st.Writef(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d", maxq)
-		_ = d.bus.SwitchState(backPath, xenbus.StateInitWait)
-	}
-
-	fs := d.bus.State(frontPath)
-	if fs != xenbus.StateInitialised && fs != xenbus.StateConnected {
-		if !d.watched[frontPath] {
-			d.watched[frontPath] = true
-			d.bus.OnStateChange(frontPath, func(xenbus.State) { d.thread.Wake() })
-		}
-		return
-	}
-
-	d.invocations++
-	// Multi-queue frontends publish per-queue event channels under
-	// queue-N/; single-queue ones keep the legacy flat key.
-	nq := d.bus.ReadNumQueues(frontPath, xenstore.KeyMultiQueueNumQueues)
-	ports := make([]xen.Port, nq)
-	if nq == 1 {
-		port, ok := st.ReadInt(frontPath + "/" + xenstore.KeyEventChannel)
-		if !ok {
-			return
-		}
-		ports[0] = xen.Port(port)
-	} else {
-		for i := 0; i < nq; i++ {
-			port, ok := st.ReadInt(xenbus.QueuePath(frontPath, i) + "/" + xenstore.KeyEventChannel)
-			if !ok {
-				return
-			}
-			ports[i] = xen.Port(port)
-		}
-	}
-	ch, ok := d.reg.Claim(frontDom, devid)
-	if !ok {
-		return
-	}
-	if ch.NumQueues() != nq {
-		return // store and registry disagree; a later watch retries
-	}
-	var inst *Instance
-	if d.lanes != nil && nq == 1 {
+	if d.lanes != nil && len(c.Ports) == 1 {
 		lane := d.lanes[d.laneNext%len(d.lanes)]
 		d.laneNext++
-		inst, err = NewInstanceOnLane(d.eng, d.dom, frontDom, devid, ch, ports,
-			d.dev, base, sectors, d.costs, lane)
-	} else {
-		inst, err = NewInstance(d.eng, d.dom, frontDom, devid, ch, ports,
-			d.dev, base, sectors, d.costs)
+		inst, err := NewInstanceOnLane(d.eng, d.dom, c.FrontDom, c.DevID, ch, c.Ports,
+			d.dev, d.base, d.sectors, d.costs, lane)
+		return inst, -1, err
 	}
-	if err != nil {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-		return
-	}
-	d.instances[backPath] = inst
-	d.order = append(d.order, inst)
-	if d.tenants != nil {
-		d.tenants.AttachVBD(xenbus.DomID(frontDom))
-	}
-	_ = d.bus.SwitchState(backPath, xenbus.StateConnected)
-
-	d.bus.OnStateChange(frontPath, func(s xenbus.State) {
-		if s == xenbus.StateClosing || s == xenbus.StateClosed || s == xenbus.StateUnknown {
-			d.removeInstance(backPath)
-		}
-	})
-	if d.OnInstance != nil {
-		d.OnInstance(inst)
-	}
+	inst, err := NewInstance(d.eng, d.dom, c.FrontDom, c.DevID, ch, c.Ports,
+		d.dev, d.base, d.sectors, d.costs)
+	return inst, -1, err
 }
+
+// Disconnect shuts an instance down.
+func (d *Driver) Disconnect(inst *Instance) { inst.Shutdown() }
 
 // window parses the toolstack's "params" key: "<baseSector>:<sectors>".
 func (d *Driver) window(backPath string) (base, sectors int64, err error) {
@@ -230,38 +131,4 @@ func (d *Driver) window(backPath string) (base, sectors int64, err error) {
 		return 0, 0, fmt.Errorf("blkback: window %d:%d exceeds device", base, sectors)
 	}
 	return base, sectors, nil
-}
-
-func (d *Driver) removeInstance(backPath string) {
-	inst := d.instances[backPath]
-	if inst == nil {
-		return
-	}
-	delete(d.instances, backPath)
-	for i, in := range d.order {
-		if in == inst {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	inst.Shutdown()
-	if d.tenants != nil {
-		d.tenants.DetachVBD(xenbus.DomID(inst.frontDom))
-	}
-	if d.bus.Store().Exists(backPath) {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-	}
-}
-
-// Shutdown tears down every instance in attach order.
-func (d *Driver) Shutdown() {
-	for len(d.order) > 0 {
-		inst := d.order[0]
-		for path, in := range d.instances {
-			if in == inst {
-				d.removeInstance(path)
-				break
-			}
-		}
-	}
 }

@@ -133,26 +133,8 @@ func NewChannel(n int) *Channel { return &Channel{Rings: NewRings(n)} }
 // NumQueues returns the channel's hardware-queue count.
 func (c *Channel) NumQueues() int { return c.Rings.NumQueues() }
 
-// Registry mirrors netif.Registry for block rings.
-type Registry struct {
-	channels map[uint64]*Channel
-}
+// Registry is the blkif instance of the ring-publication registry.
+type Registry = ring.Registry[*Channel]
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{channels: make(map[uint64]*Channel)} }
-
-func key(dom xen.DomID, devid int) uint64 { return uint64(dom)<<32 | uint64(uint32(devid)) }
-
-// Publish registers a frontend's ring.
-func (r *Registry) Publish(dom xen.DomID, devid int, ch *Channel) {
-	r.channels[key(dom, devid)] = ch
-}
-
-// Claim fetches a published ring.
-func (r *Registry) Claim(dom xen.DomID, devid int) (*Channel, bool) {
-	ch, ok := r.channels[key(dom, devid)]
-	return ch, ok
-}
-
-// Drop removes a publication.
-func (r *Registry) Drop(dom xen.DomID, devid int) { delete(r.channels, key(dom, devid)) }
+func NewRegistry() *Registry { return ring.NewRegistry[*Channel]() }

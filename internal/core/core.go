@@ -313,9 +313,7 @@ func (s *System) CreateNetworkDomain(cfg NetworkDomainConfig) (*NetworkDomain, e
 		nd.Driver = netback.NewDriver(s.Eng, dom, s.Bus, s.NetReg, nd.Bridge, costs, s.Pool)
 		if qs := s.QueueShards(); qs != nil {
 			if cfg.Fleet {
-				nd.Driver.SetFleet(qs)
-				nd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-				nd.Driver.SetTenantRegistry(nd.Tenants)
+				nd.Tenants = nd.Driver.SetFleet(qs)
 			} else {
 				nd.Driver.SetShards(qs)
 			}
@@ -397,13 +395,12 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 	}
 	sd := &StorageDomain{Dom: dom, Profile: profile, Kind: cfg.Kind, Device: cfg.Device}
 	start := func() {
-		// The block status application (§4.4) is the driver's OnInstance
-		// observer; the driver itself holds the watch thread.
+		// The block status application (§4.4) is the blkback driver
+		// itself: its xenbus.Backend holds the watch thread that pairs
+		// every vbd.
 		sd.Driver = blkback.NewDriver(s.Eng, dom, s.Bus, s.BlkReg, cfg.Device, costs)
 		if cfg.FleetLanes > 0 {
-			sd.Driver.SetFleet(cfg.FleetLanes)
-			sd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-			sd.Driver.SetTenantRegistry(sd.Tenants)
+			sd.Tenants = sd.Driver.SetFleet(cfg.FleetLanes)
 		}
 		sd.ready = true
 	}

@@ -2,26 +2,6 @@ package netif
 
 import "testing"
 
-func TestRegistryPublishClaimDrop(t *testing.T) {
-	r := NewRegistry()
-	ch := NewChannel(1)
-	r.Publish(3, 0, ch)
-	got, err := r.Claim(3, 0)
-	if err != nil || got != ch {
-		t.Fatalf("claim = %v, %v", got, err)
-	}
-	if _, err := r.Claim(3, 1); err == nil {
-		t.Fatal("claim of unpublished device succeeded")
-	}
-	if _, err := r.Claim(4, 0); err == nil {
-		t.Fatal("claim of wrong domain succeeded")
-	}
-	r.Drop(3, 0)
-	if _, err := r.Claim(3, 0); err == nil {
-		t.Fatal("claim after drop succeeded")
-	}
-}
-
 func TestRingConstructorsSize(t *testing.T) {
 	if NewTxRing().Size() != RingSize || NewRxRing().Size() != RingSize {
 		t.Fatal("ring constructors produce wrong sizes")
@@ -39,20 +19,5 @@ func TestChannelQueues(t *testing.T) {
 				t.Fatalf("queue %d has wrong ring sizes", i)
 			}
 		}
-	}
-}
-
-func TestRegistryDistinctKeys(t *testing.T) {
-	r := NewRegistry()
-	a := NewChannel(1)
-	b := NewChannel(2)
-	r.Publish(1, 0, a)
-	r.Publish(1, 1, b)
-	r.Publish(2, 0, b)
-	if got, _ := r.Claim(1, 0); got != a {
-		t.Fatal("key collision between devices")
-	}
-	if got, _ := r.Claim(2, 0); got != b {
-		t.Fatal("key collision between domains")
 	}
 }

@@ -30,7 +30,7 @@ type Tenant struct {
 
 // TenantRegistry is a driver domain's dynamic attach/detach ledger — the
 // piece of toolstack state that turns "a backend device" into "a
-// multi-tenant service". Drivers report every VIF/VBD pairing and
+// multi-tenant service". Backend reports every VIF/VBD pairing and
 // teardown; the registry maintains per-tenant counts in attach order (so
 // walks are deterministic) and mirrors each tenant into its xenstore
 // subtree (TenantPath) for external observers. A tenant whose last device
@@ -89,11 +89,11 @@ func (r *TenantRegistry) drop(dom DomID) {
 	_ = r.bus.Store().Remove(TenantPath(r.self, dom))
 }
 
-// AttachVIF records one VIF pairing for dom on fleet lane lane (-1 for a
-// dedicated-worker VIF).
-func (r *TenantRegistry) AttachVIF(dom DomID, lane int) {
+// Attach records one pairing of a typ device (xenstore.DevVif or DevVbd)
+// for dom; lane is the fleet lane carrying it (-1 for none).
+func (r *TenantRegistry) Attach(dom DomID, typ string, lane int) {
 	t := r.tenant(dom)
-	t.Vifs++
+	*t.devices(typ)++
 	if lane >= 0 {
 		t.Lane = lane
 	}
@@ -101,13 +101,13 @@ func (r *TenantRegistry) AttachVIF(dom DomID, lane int) {
 	r.publish(t)
 }
 
-// DetachVIF records one VIF teardown for dom.
-func (r *TenantRegistry) DetachVIF(dom DomID) {
+// Detach records one teardown of a typ device for dom.
+func (r *TenantRegistry) Detach(dom DomID, typ string) {
 	t := r.byDom[dom]
 	if t == nil {
 		return
 	}
-	t.Vifs--
+	*t.devices(typ)--
 	r.detaches++
 	if t.Vifs <= 0 && t.Vbds <= 0 {
 		r.drop(dom)
@@ -116,27 +116,12 @@ func (r *TenantRegistry) DetachVIF(dom DomID) {
 	r.publish(t)
 }
 
-// AttachVBD records one VBD pairing for dom.
-func (r *TenantRegistry) AttachVBD(dom DomID) {
-	t := r.tenant(dom)
-	t.Vbds++
-	r.attaches++
-	r.publish(t)
-}
-
-// DetachVBD records one VBD teardown for dom.
-func (r *TenantRegistry) DetachVBD(dom DomID) {
-	t := r.byDom[dom]
-	if t == nil {
-		return
+// devices returns the tenant's live-instance count for device type typ.
+func (t *Tenant) devices(typ string) *int {
+	if typ == xenstore.DevVif {
+		return &t.Vifs
 	}
-	t.Vbds--
-	r.detaches++
-	if t.Vifs <= 0 && t.Vbds <= 0 {
-		r.drop(dom)
-		return
-	}
-	r.publish(t)
+	return &t.Vbds
 }
 
 // Tenants returns the live tenants in attach order (copies — callers
