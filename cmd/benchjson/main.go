@@ -24,9 +24,9 @@ type result struct {
 	SimBytesPerSec  float64 `json:"sim_bytes_per_sec,omitempty"`
 	// NsPerFrame is wall-clock nanoseconds per simulated frame (the
 	// benchmark's own ns/frame metric) — host-machine dependent.
-	NsPerFrame float64 `json:"ns_per_frame,omitempty"`
-	BytesPerOp int64   `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
+	NsPerFrame  float64 `json:"ns_per_frame,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 	// ParallelSpeedup is the wall-clock ratio of this benchmark's
 	// /queues=1 family baseline to this entry: >1 means the sharded
 	// configuration finished the same wave faster than the serial one.
@@ -39,6 +39,12 @@ type result struct {
 	// hierarchy (a 1024-guest working set misses where 64 guests fit),
 	// which says nothing about the simulated data plane.
 	NsPerGuestOp float64 `json:"ns_per_guest_op,omitempty"`
+	// NsPerGuest and AllocsPerGuest are a bring-up benchmark's wall-clock
+	// nanoseconds and heap allocations per guest brought up (its own
+	// ns/guest and allocs/guest metrics). Allocation counts are
+	// deterministic, so they can be gated on any runner; wall time cannot.
+	NsPerGuest     float64 `json:"ns_per_guest,omitempty"`
+	AllocsPerGuest float64 `json:"allocs_per_guest,omitempty"`
 }
 
 // fillPerGuest derives ns_per_guest_op for fleet-sweep entries (/guests=N)
@@ -98,7 +104,7 @@ func main() {
 	gate := flag.String("gate", "", "comma-separated benchmark entries (e.g. BenchmarkForwardPathMQ/queues=4) that must keep parallel_speedup >= 1 against their /queues=1 family baseline; a NAME@MIN suffix lowers the bar (BenchmarkBlockPathMQ/queues=8@0.9). Exit 1 on any miss")
 	gateAllocs := flag.String("gate-allocs", "", "comma-separated benchmark entries that must report 0 allocs/op; exit 1 otherwise")
 	gateSpeedup := flag.String("gate-speedup", "", "comma-separated FAMILY=MIN pairs (e.g. ForwardPathMQ=1.0); each family's /queues=4 entry must keep parallel_speedup >= MIN. A full entry name on the left (BlockPathMQ/queues=8=0.9) gates that entry instead. Exit 1 on any miss")
-	gateFlat := flag.String("gate-flat", "", "comma-separated BIG:SMALL@MAX entries (e.g. Fleet/guests=1024:Fleet/guests=64@1.25); the BIG entry's ns_per_guest_op must stay <= MAX x the SMALL entry's. Compares virtual per-guest cost, which is deterministic across hosts. Exit 1 on any miss")
+	gateFlat := flag.String("gate-flat", "", "comma-separated BIG:SMALL:METRIC@MAX entries (e.g. Fleet/guests=1024:Fleet/guests=64:ns_per_guest_op@1.25); the BIG entry's METRIC, a numeric field of the JSON output, must stay <= MAX x the SMALL entry's. Gate only metrics that are deterministic across hosts (virtual ns_per_guest_op, allocs_per_guest). Exit 1 on any miss")
 	flag.Parse()
 	var results []result
 	sc := bufio.NewScanner(os.Stdin)
@@ -132,6 +138,10 @@ func main() {
 				r.SimBytesPerSec = v
 			case "ns/frame":
 				r.NsPerFrame = v
+			case "ns/guest":
+				r.NsPerGuest = v
+			case "allocs/guest":
+				r.AllocsPerGuest = v
 			case "B/op":
 				r.BytesPerOp = int64(v)
 			case "allocs/op":
@@ -178,52 +188,56 @@ func main() {
 	}
 }
 
-// checkGateFlat fails the run if the BIG entry's virtual per-guest cost
-// exceeds MAX times the SMALL entry's (gate format BIG:SMALL@MAX). This is
-// the fleet-scaling flatness gate: ns_per_guest_op is simulated time, so
-// the comparison is exact and machine-independent — any miss is a real
-// O(fleet) term creeping back into the data plane, not host cache noise.
+// checkGateFlat fails the run if the BIG entry's METRIC exceeds MAX times
+// the SMALL entry's (gate format BIG:SMALL:METRIC@MAX, METRIC naming a
+// numeric JSON field of the entries). These are the fleet-scaling flatness
+// gates: the data-plane sweep compares ns_per_guest_op, which is simulated
+// time, and the bring-up sweep allocs_per_guest, which is a deterministic
+// count, so either comparison is exact and machine-independent — any miss
+// is a real O(fleet) term creeping back in, not host noise.
 func checkGateFlat(results []result, gate string) {
-	spec := gate
-	i := strings.LastIndex(spec, "@")
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
+		os.Exit(1)
+	}
+	i := strings.LastIndex(gate, "@")
 	if i < 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: bad -gate-flat entry %q (want BIG:SMALL@MAX)\n", gate)
-		os.Exit(1)
+		fail("bad -gate-flat entry %q (want BIG:SMALL:METRIC@MAX)", gate)
 	}
-	max, err := strconv.ParseFloat(spec[i+1:], 64)
+	max, err := strconv.ParseFloat(gate[i+1:], 64)
 	if err != nil || max <= 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: bad -gate-flat ratio in %q\n", gate)
-		os.Exit(1)
+		fail("bad -gate-flat ratio in %q", gate)
 	}
-	names := strings.SplitN(spec[:i], ":", 2)
-	if len(names) != 2 {
-		fmt.Fprintf(os.Stderr, "benchjson: bad -gate-flat entry %q (want BIG:SMALL@MAX)\n", gate)
-		os.Exit(1)
+	parts := strings.Split(gate[:i], ":")
+	if len(parts) != 3 {
+		fail("bad -gate-flat entry %q (want BIG:SMALL:METRIC@MAX)", gate)
 	}
-	find := func(name string) *result {
+	metric := parts[2]
+	value := func(name string) (string, float64) {
 		if !strings.HasPrefix(name, "Benchmark") {
 			name = "Benchmark" + name
 		}
 		for j := range results {
-			if results[j].Name == name {
-				return &results[j]
+			if results[j].Name != name {
+				continue
 			}
+			var fields map[string]any
+			raw, _ := json.Marshal(results[j])
+			_ = json.Unmarshal(raw, &fields)
+			v, _ := fields[metric].(float64)
+			if v <= 0 {
+				fail("flatness gate %s needs %s on %s (metric missing from its benchmark line?)", gate, metric, name)
+			}
+			return name, v
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: flatness gate entry %s not found in benchmark output\n", name)
-		os.Exit(1)
-		return nil
+		fail("flatness gate entry %s not found in benchmark output", name)
+		return "", 0
 	}
-	big, small := find(names[0]), find(names[1])
-	if big.NsPerGuestOp <= 0 || small.NsPerGuestOp <= 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: flatness gate %s needs ns_per_guest_op on both entries (missing simframes/sec metric?)\n", gate)
-		os.Exit(1)
-	}
-	ratio := big.NsPerGuestOp / small.NsPerGuestOp
-	if ratio > max {
-		fmt.Fprintf(os.Stderr,
-			"benchjson: flatness gate %s failed: measured %s=%.1f / %s=%.1f ns_per_guest_op, ratio %.3f, required <= %.2f\n",
-			gate, big.Name, big.NsPerGuestOp, small.Name, small.NsPerGuestOp, ratio, max)
-		os.Exit(1)
+	bigName, big := value(parts[0])
+	smallName, small := value(parts[1])
+	if ratio := big / small; ratio > max {
+		fail("flatness gate %s failed: measured %s=%.1f / %s=%.1f %s, ratio %.3f, required <= %.2f",
+			gate, bigName, big, smallName, small, metric, ratio, max)
 	}
 }
 

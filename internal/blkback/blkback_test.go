@@ -362,6 +362,12 @@ func TestFrontendCloseCleansUp(t *testing.T) {
 	if len(r.drv.Instances()) != 0 {
 		t.Fatal("instance survived frontend close")
 	}
+	// Only the backend's own subtree watch outlives the device: the
+	// backend's readiness and teardown watches and blkfront's
+	// backend-state watch all go with it.
+	if n := r.bus.Store().Watches(); n != 1 {
+		t.Fatalf("store holds %d watches after teardown, want 1", n)
+	}
 }
 
 func TestBadParamsRejected(t *testing.T) {

@@ -133,8 +133,9 @@ type Device struct {
 	backDom xen.DomID
 	costs   Costs
 
-	frontPath string
-	backPath  string
+	frontPath  string
+	backPath   string
+	stateWatch *xenstore.Watch // the backend-state watch driving the handshake
 
 	wantQueues int
 	queues     []*queue
@@ -206,7 +207,9 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		readBufs:   bufs.NewArena(),
 		onReady:    cfg.OnReady,
 	}
-	d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
+	// A Closed backend is final for this device (xenbus.Backend never
+	// re-pairs it), so the watch goes with it.
+	d.stateWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
 		switch s {
 		case xenbus.StateInitWait:
 			if len(d.queues) == 0 {
@@ -216,8 +219,11 @@ func New(eng *sim.Engine, cfg Config) *Device {
 			if !d.ready && len(d.queues) > 0 {
 				d.connect()
 			}
-		case xenbus.StateClosing, xenbus.StateClosed:
+		case xenbus.StateClosing:
 			d.ready = false
+		case xenbus.StateClosed:
+			d.ready = false
+			d.bus.Store().Unwatch(d.stateWatch)
 		}
 	})
 	return d

@@ -6,6 +6,7 @@ import (
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
 	"kite/internal/sim"
+	"kite/internal/xenbus"
 )
 
 // laneMembers sums the demux membership across a fleet driver's lanes.
@@ -21,9 +22,10 @@ func laneMembers(rig *FleetRig) int {
 // while their traffic is still in flight, then reconnects them, checking
 // every table the churn touches: the tenant registry ledger, the lanes'
 // demux membership (a departed doorbell must leave its group, not pin a
-// dead member slot), the driver's VIF set, and — the leak canary — the
-// frame pool, which must drain to zero outstanding buffers even when a
-// vif dies with queued frames.
+// dead member slot), the driver's VIF set, the xenstore watch set (a
+// close/reattach cycle must not leave watches behind), and — the leak
+// canary — the frame pool, which must drain to zero outstanding buffers
+// even when a vif dies with queued frames.
 func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	const guests = 16
 	rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: 4, Seed: 0xc4a2})
@@ -44,6 +46,7 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 		}
 	})
 	payload := make([]byte, 256)
+	watches := sys.Bus.Store().Watches()
 
 	// Every tenant offers a burst, drained only partially before the
 	// churn hits: closed vifs die with frames still queued.
@@ -129,10 +132,17 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	if n := laneMembers(rig); n != guests {
 		t.Fatalf("lane demux members = %d after reattach, want %d", n, guests)
 	}
+	lanes := make(map[xenbus.DomID]int, guests)
+	for _, tn := range nd.Tenants.Tenants() {
+		lanes[tn.Dom] = tn.Lane
+	}
 	for _, i := range churned {
-		if lane := nd.Tenants.Tenants()[0].Lane; lane < 0 {
-			t.Fatalf("tenant %d has no lane after reattach", i)
+		if lane, ok := lanes[xenbus.DomID(rig.Guests[i].Dom.ID)]; !ok || lane < 0 {
+			t.Fatalf("tenant %d has no lane after reattach (ledger entry %v, lane %d)", i, ok, lane)
 		}
+	}
+	if n := sys.Bus.Store().Watches(); n != watches {
+		t.Fatalf("store holds %d watches after the churn cycle, want %d", n, watches)
 	}
 
 	base = append([]int(nil), got...)

@@ -61,3 +61,36 @@ func BenchmarkFleet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFleetBringUp sweeps the cost of building a fleet: every
+// iteration runs NewFleetRig, which hot-plugs N guests into a fleet-mode
+// network driver domain and completes every xenbus handshake. The
+// control plane (xenstore watch dispatch, backend invocation, tenant
+// publication) dominates it, so ns/guest and allocs/guest stay flat
+// only while each attach costs O(changed) rather than O(fleet).
+// allocs/guest is deterministic, which makes it the quantity `make
+// bench` gates for flatness; ns/guest is host-dependent and reported
+// only.
+func BenchmarkFleetBringUp(b *testing.B) {
+	for _, guests := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("guests=%d", guests), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: 4, Seed: 0xf1ee7})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rig.Guests) != guests {
+					b.Fatalf("rig holds %d guests, want %d", len(rig.Guests), guests)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(b.N * guests)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/guest")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/guest")
+		})
+	}
+}

@@ -139,8 +139,9 @@ type Device struct {
 	mac     netpkt.MAC
 	pool    *framepool.Pool
 
-	frontPath string
-	backPath  string
+	frontPath  string
+	backPath   string
+	stateWatch *xenstore.Watch // the backend-state watch driving the handshake
 
 	wantQueues int
 	hashSeed   uint64
@@ -274,9 +275,11 @@ func (d *Device) Ready() bool { return d.ready }
 // start begins the frontend's side of the xenbus handshake: watch the
 // backend and allocate/publish rings once it reaches InitWait and its
 // queue-count advertisement is readable (the same ordering real netfront
-// follows, and what blkfront here always did).
+// follows, and what blkfront here always did). A Closed backend is final
+// for this device: xenbus.Backend never re-pairs it, and a replug builds a
+// new Device on a new device path, so the watch goes with it.
 func (d *Device) start() {
-	d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
+	d.stateWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
 		switch s {
 		case xenbus.StateInitWait:
 			if !d.started {
@@ -286,8 +289,11 @@ func (d *Device) start() {
 			if !d.ready {
 				d.connect()
 			}
-		case xenbus.StateClosing, xenbus.StateClosed:
+		case xenbus.StateClosing:
 			d.backendGone()
+		case xenbus.StateClosed:
+			d.backendGone()
+			d.bus.Store().Unwatch(d.stateWatch)
 		}
 	})
 }

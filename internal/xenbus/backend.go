@@ -2,7 +2,7 @@ package xenbus
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"kite/internal/sim"
 	"kite/internal/xen"
@@ -74,10 +74,13 @@ type Backend[I Instance] struct {
 	cpu    *sim.CPU  // the invoker's vCPU
 	thread *sim.Task // the invoker, created at its first wake
 
-	live    map[string]I    // by backend path
-	order   []I             // live instances in attach order (deterministic walks)
-	watched map[string]bool // frontend paths already under watch
-	tenants *TenantRegistry
+	live     map[string]I               // by backend path
+	order    []I                        // live instances in attach order (deterministic walks)
+	watched  map[string]*xenstore.Watch // frontend path -> its readiness watch
+	teardown map[string]*xenstore.Watch // backend path -> its instance's teardown watch
+	dirs     map[string]string          // frontend domid -> its directory under root
+	key      []byte                     // scan's backend-path scratch buffer
+	tenants  *TenantRegistry
 
 	invocations uint64
 }
@@ -91,10 +94,12 @@ func NewBackend[I Instance](eng *sim.Engine, dom *xen.Domain, bus *Bus,
 
 	b := &Backend[I]{
 		eng: eng, dom: dom, bus: bus, typ: typ, maxQueues: maxQueues, dev: dev, wakeLatency: wakeLatency,
-		root:    BackendRoot(DomID(dom.ID), typ),
-		cpu:     dom.CPUs.CPU(0),
-		live:    make(map[string]I),
-		watched: make(map[string]bool),
+		root:     BackendRoot(DomID(dom.ID), typ),
+		cpu:      dom.CPUs.CPU(0),
+		live:     make(map[string]I),
+		watched:  make(map[string]*xenstore.Watch),
+		teardown: make(map[string]*xenstore.Watch),
+		dirs:     make(map[string]string),
 	}
 	bus.Store().Watch(b.root, b.name(), func(string, string) { b.wake() })
 	return b
@@ -135,23 +140,30 @@ func (b *Backend[I]) wake() {
 }
 
 // scan is the invoker body: walk the backend subtree and pair any
-// unpaired frontend.
+// unpaired frontend. Walking paired devices allocates nothing: listings
+// are the store's cached ones, each frontend's directory path is built
+// once, and the live-instance lookup keys on a reused buffer.
 func (b *Backend[I]) scan() {
 	b.dom.CPUs.Charge(scanCost)
 	st := b.bus.Store()
 	for _, frontStr := range st.List(b.root) {
-		var frontDom int
-		if _, err := fmt.Sscanf(frontStr, "%d", &frontDom); err != nil {
+		frontDom, err := strconv.Atoi(frontStr)
+		if err != nil {
 			continue
 		}
-		for _, devStr := range st.List(b.root + "/" + frontStr) {
-			var devid int
-			if _, err := fmt.Sscanf(devStr, "%d", &devid); err != nil {
+		dir, ok := b.dirs[frontStr]
+		if !ok {
+			dir = b.root + "/" + frontStr
+			b.dirs[frontStr] = dir
+		}
+		for _, devStr := range st.List(dir) {
+			devid, err := strconv.Atoi(devStr)
+			if err != nil {
 				continue
 			}
-			backPath := b.root + "/" + frontStr + "/" + devStr
-			if _, exists := b.live[backPath]; !exists {
-				b.pair(backPath, xen.DomID(frontDom), devid)
+			b.key = append(append(append(b.key[:0], dir...), '/'), devStr...)
+			if _, exists := b.live[string(b.key)]; !exists {
+				b.pair(string(b.key), xen.DomID(frontDom), devid)
 			}
 		}
 	}
@@ -183,9 +195,8 @@ func (b *Backend[I]) pair(backPath string, frontDom xen.DomID, devid int) {
 	fs := b.bus.State(frontPath)
 	if fs != StateInitialised && fs != StateConnected {
 		// Frontend not ready: watch it (once) and retry on transitions.
-		if !b.watched[frontPath] {
-			b.watched[frontPath] = true
-			b.bus.OnStateChange(frontPath, func(State) { b.thread.Wake() })
+		if b.watched[frontPath] == nil {
+			b.watched[frontPath] = b.bus.OnStateChange(frontPath, func(State) { b.thread.Wake() })
 		}
 		return
 	}
@@ -223,19 +234,30 @@ func (b *Backend[I]) pair(backPath string, frontDom xen.DomID, devid int) {
 	_ = b.bus.SwitchState(backPath, StateConnected)
 
 	// Tear the instance down when the frontend goes away.
-	b.bus.OnStateChange(frontPath, func(s State) {
+	b.teardown[backPath] = b.bus.OnStateChange(frontPath, func(s State) {
 		if s == StateClosing || s == StateClosed || s == StateUnknown {
-			b.remove(backPath)
+			b.remove(backPath, frontPath)
 		}
 	})
 }
 
-func (b *Backend[I]) remove(backPath string) {
+// remove tears down the instance at backPath and drops the watches it
+// held on its frontend: the readiness watch and the teardown watch. A
+// reattached frontend comes back under a new device path, so nothing
+// still needs them.
+func (b *Backend[I]) remove(backPath, frontPath string) {
 	inst, ok := b.live[backPath]
 	if !ok {
 		return
 	}
 	delete(b.live, backPath)
+	st := b.bus.Store()
+	st.Unwatch(b.teardown[backPath])
+	delete(b.teardown, backPath)
+	if w := b.watched[frontPath]; w != nil {
+		st.Unwatch(w)
+		delete(b.watched, frontPath)
+	}
 	for i, x := range b.order {
 		if x == inst {
 			b.order = append(b.order[:i], b.order[i+1:]...)
@@ -246,7 +268,7 @@ func (b *Backend[I]) remove(backPath string) {
 	if b.tenants != nil {
 		b.tenants.Detach(DomID(inst.FrontDom()), b.typ)
 	}
-	if b.bus.Store().Exists(backPath) {
+	if st.Exists(backPath) {
 		_ = b.bus.SwitchState(backPath, StateClosed)
 	}
 }

@@ -11,8 +11,11 @@
 package xenstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"kite/internal/sim"
@@ -22,7 +25,8 @@ import (
 type DomID uint16
 
 type node struct {
-	children map[string]*node
+	children map[string]*node // nil until the first child is added
+	names    []string         // sorted child names; nil when stale
 	value    string
 	hasValue bool
 	version  uint64
@@ -38,17 +42,37 @@ type Watch struct {
 	token   string
 	fn      func(path, token string)
 	store   *Store
+	seq     uint64     // registration order; matches fire in seq order
+	at      *watchNode // index node holding the watch; nil once unwatched
 	dead    bool
 	pending int
 	fires   uint64
+}
+
+// watchNode is one path component of the watch index: a trie over path
+// components whose nodes hold the watches registered at exactly that path.
+// Nodes with no watches at or below them are pruned on Unwatch.
+type watchNode struct {
+	parent   *watchNode
+	name     string
+	children map[string]*watchNode
+	watches  []*Watch // in registration order
 }
 
 // Store is the xenstored database.
 type Store struct {
 	eng     *sim.Engine
 	root    *node
-	watches []*Watch
 	version uint64
+
+	// Watch index. A mutation of path p fires every watch registered at
+	// p, at an ancestor of p, or at a descendant of p (§4.1's watch
+	// semantics), in registration order. matched is fireWatches' reusable
+	// scratch list.
+	watchRoot *watchNode
+	watchSeq  uint64
+	watches   int
+	matched   []*Watch
 
 	// OpLatency models the round trip to the xenstored daemon in Dom0.
 	// Control-plane only; it never sits on the data path.
@@ -67,7 +91,8 @@ type Store struct {
 func New(eng *sim.Engine) *Store {
 	return &Store{
 		eng:       eng,
-		root:      &node{children: make(map[string]*node)},
+		root:      &node{},
+		watchRoot: &watchNode{},
 		OpLatency: 30 * sim.Microsecond,
 		Quota:     1000,
 		owned:     make(map[DomID]int),
@@ -77,22 +102,42 @@ func New(eng *sim.Engine) *Store {
 // Ops returns the number of store operations performed.
 func (s *Store) Ops() uint64 { return s.ops }
 
-func splitPath(path string) []string {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			out = append(out, p)
-		}
+// nextPart returns the first non-empty component of path at or after
+// offset i and the offset just past it; part is "" when none remain. Walking
+// a path with it allocates nothing, and it skips empty components the way
+// normalize does.
+func nextPart(path string, i int) (part string, next int) {
+	for i < len(path) && path[i] == '/' {
+		i++
 	}
-	return out
+	j := i
+	for j < len(path) && path[j] != '/' {
+		j++
+	}
+	return path[i:j], j
 }
 
-func normalize(path string) string { return "/" + strings.Join(splitPath(path), "/") }
+// normalize returns the canonical form of path: a leading "/", no empty
+// components, no trailing "/". A path already in that form is returned
+// as is.
+func normalize(path string) string {
+	if path == "/" || len(path) > 1 && path[0] == '/' && path[len(path)-1] != '/' && !strings.Contains(path, "//") {
+		return path
+	}
+	var b strings.Builder
+	for part, i := nextPart(path, 0); part != ""; part, i = nextPart(path, i) {
+		b.WriteByte('/')
+		b.WriteString(part)
+	}
+	if b.Len() == 0 {
+		return "/"
+	}
+	return b.String()
+}
 
 func (s *Store) lookup(path string) *node {
 	n := s.root
-	for _, part := range splitPath(path) {
+	for part, i := nextPart(path, 0); part != ""; part, i = nextPart(path, i) {
 		child := n.children[part]
 		if child == nil {
 			return nil
@@ -104,11 +149,15 @@ func (s *Store) lookup(path string) *node {
 
 func (s *Store) ensure(path string) *node {
 	n := s.root
-	for _, part := range splitPath(path) {
+	for part, i := nextPart(path, 0); part != ""; part, i = nextPart(path, i) {
 		child := n.children[part]
 		if child == nil {
-			child = &node{children: make(map[string]*node)}
+			child = &node{}
+			if n.children == nil {
+				n.children = make(map[string]*node)
+			}
 			n.children[part] = child
+			n.names = nil
 		}
 		n = child
 	}
@@ -147,11 +196,8 @@ func (s *Store) ReadInt(path string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	var out int64
-	if _, err := fmt.Sscanf(v, "%d", &out); err != nil {
-		return 0, false
-	}
-	return out, true
+	out, err := strconv.ParseInt(v, 10, 64)
+	return out, err == nil
 }
 
 // Mkdir creates an empty directory node.
@@ -169,71 +215,127 @@ func (s *Store) Exists(path string) bool { return s.lookup(path) != nil }
 // as in xenstored.
 func (s *Store) Remove(path string) error {
 	s.ops++
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	leaf, i := nextPart(path, 0)
+	if leaf == "" {
 		return fmt.Errorf("xenstore: refusing to remove root")
 	}
 	parent := s.root
-	for _, part := range parts[:len(parts)-1] {
-		parent = parent.children[part]
+	for next, j := nextPart(path, i); next != ""; next, j = nextPart(path, j) {
+		parent = parent.children[leaf]
 		if parent == nil {
 			return fmt.Errorf("xenstore: remove of missing path %s", path)
 		}
+		leaf = next
 	}
-	leaf := parts[len(parts)-1]
 	if parent.children[leaf] == nil {
 		return fmt.Errorf("xenstore: remove of missing path %s", path)
 	}
 	delete(parent.children, leaf)
+	parent.names = nil
 	s.version++
 	s.fireWatches(normalize(path))
 	return nil
 }
 
-// List returns the sorted child names of a directory (empty for missing).
+// List returns the sorted child names of a directory (nil for missing).
+// The slice is the directory's cached listing, shared by every caller until
+// a child is added or removed: callers must not modify it. A later change
+// replaces the cache rather than editing it, so a listing being iterated
+// stays intact.
 func (s *Store) List(path string) []string {
 	s.ops++
 	n := s.lookup(path)
 	if n == nil {
 		return nil
 	}
-	out := make([]string, 0, len(n.children))
-	for name := range n.children {
-		out = append(out, name)
+	if n.names == nil {
+		n.names = make([]string, 0, len(n.children))
+		for name := range n.children {
+			n.names = append(n.names, name)
+		}
+		sort.Strings(n.names)
 	}
-	sort.Strings(out)
-	return out
+	return n.names
 }
 
-// Watch registers fn for changes at or below path. As xenstored does, the
-// watch fires once immediately upon registration.
+// Watch registers fn for changes at, above or below path. As xenstored
+// does, the watch fires once immediately upon registration.
 func (s *Store) Watch(path, token string, fn func(path, token string)) *Watch {
-	w := &Watch{path: normalize(path), token: token, fn: fn, store: s}
-	s.watches = append(s.watches, w)
+	s.watchSeq++
+	w := &Watch{path: normalize(path), token: token, fn: fn, store: s, seq: s.watchSeq}
+	n := s.watchRoot
+	for part, i := nextPart(w.path, 0); part != ""; part, i = nextPart(w.path, i) {
+		child := n.children[part]
+		if child == nil {
+			child = &watchNode{parent: n, name: part}
+			if n.children == nil {
+				n.children = make(map[string]*watchNode)
+			}
+			n.children[part] = child
+		}
+		n = child
+	}
+	n.watches = append(n.watches, w)
+	w.at = n
+	s.watches++
 	s.fire(w, w.path)
 	return w
 }
 
-// Unwatch removes a watch; in-flight callbacks are suppressed.
+// Unwatch removes a watch; in-flight callbacks are suppressed. Removing a
+// watch twice is harmless.
 func (s *Store) Unwatch(w *Watch) {
 	w.dead = true
-	for i, x := range s.watches {
-		if x == w {
-			s.watches = append(s.watches[:i], s.watches[i+1:]...)
-			return
-		}
+	n := w.at
+	if n == nil {
+		return
+	}
+	w.at = nil
+	s.watches--
+	i := slices.Index(n.watches, w)
+	n.watches = slices.Delete(n.watches, i, i+1)
+	for n.parent != nil && len(n.watches) == 0 && len(n.children) == 0 {
+		delete(n.parent.children, n.name)
+		n = n.parent
 	}
 }
+
+// Watches returns the number of registered (not yet unwatched) watches.
+func (s *Store) Watches() int { return s.watches }
 
 // Fires returns how many times the watch callback actually ran.
 func (w *Watch) Fires() uint64 { return w.fires }
 
+// fireWatches fires every watch at, above or below changed (a normalized
+// path) in registration order: it walks changed through the index
+// collecting each ancestor's and the node's own watches, adds the node's
+// whole subtree, and sorts the matches by sequence number.
 func (s *Store) fireWatches(changed string) {
-	for _, w := range s.watches {
-		if pathWithin(changed, w.path) || pathWithin(w.path, changed) {
-			s.fire(w, changed)
+	m := append(s.matched[:0], s.watchRoot.watches...)
+	n := s.watchRoot
+	for part, i := nextPart(changed, 0); part != "" && n != nil; part, i = nextPart(changed, i) {
+		if n = n.children[part]; n != nil {
+			m = append(m, n.watches...)
 		}
 	}
+	if n != nil {
+		m = appendBelow(m, n)
+	}
+	slices.SortFunc(m, func(a, b *Watch) int { return cmp.Compare(a.seq, b.seq) })
+	for _, w := range m {
+		s.fire(w, changed)
+	}
+	clear(m)
+	s.matched = m[:0]
+}
+
+// appendBelow appends the watches registered strictly below n.
+func appendBelow(m []*Watch, n *watchNode) []*Watch {
+	for _, child := range n.children {
+		m = append(m, child.watches...)
+		m = appendBelow(m, child)
+	}
+	return m
 }
 
 func (s *Store) fire(w *Watch, path string) {
@@ -246,17 +348,6 @@ func (s *Store) fire(w *Watch, path string) {
 		w.fires++
 		w.fn(path, w.token)
 	})
-}
-
-// pathWithin reports whether p is equal to or beneath prefix.
-func pathWithin(p, prefix string) bool {
-	if p == prefix {
-		return true
-	}
-	if prefix == "/" {
-		return true
-	}
-	return strings.HasPrefix(p, prefix+"/")
 }
 
 // SetPerms sets the owner and (optionally) restricted reader set of a
@@ -324,7 +415,7 @@ func (s *Store) permsFor(path string) (DomID, map[DomID]bool) {
 	n := s.root
 	var owner DomID
 	var readers map[DomID]bool
-	for _, part := range splitPath(path) {
+	for part, i := nextPart(path, 0); part != ""; part, i = nextPart(path, i) {
 		n = n.children[part]
 		if n == nil {
 			break
